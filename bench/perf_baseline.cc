@@ -20,7 +20,7 @@
  * summary.mega_mips alongside the serial-cell gate metric.
  *
  *   perf_baseline [--insts N] [--mega-insts N] [--jobs J]
- *                 [--out FILE] [--ref FILE] [--no-batch] [--no-mega]
+ *                 [--out FILE] [--ref FILE] [--no-mega]
  */
 
 #include <chrono>
@@ -99,14 +99,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Batched-column evidence; recorded != false when the pass ran. */
-struct BatchEvidence
-{
-    bool recorded = false;
-    double wallMs = 0.0;
-    double mips = 0.0;
-};
-
 /** Mega sampled-sweep evidence; recorded != false when the pass ran. */
 struct MegaEvidence
 {
@@ -119,8 +111,7 @@ struct MegaEvidence
 void
 writePerfJson(std::ostream &os, const std::vector<PerfRow> &rows,
               std::size_t insts, unsigned jobs, double total_wall_ms,
-              double mips_total, const BatchEvidence &batch,
-              const MegaEvidence &mega)
+              double mips_total, const MegaEvidence &mega)
 {
     os.precision(12);
     os << "{\n  \"schema\": \"dlvp-perf-v1\",\n"
@@ -147,14 +138,6 @@ writePerfJson(std::ostream &os, const std::vector<PerfRow> &rows,
     }
     os << "  ],\n  \"summary\": {\"total_wall_ms\": " << total_wall_ms
        << ", \"mips_total\": " << mips_total;
-    // The gate metric stays the serial per-cell rows above; the
-    // batched-column pass is recorded alongside as throughput
-    // evidence (sum of per-lane wall over all columns).
-    if (batch.recorded)
-        os << ", \"batch_wall_ms\": " << batch.wallMs
-           << ", \"batch_mips\": " << batch.mips
-           << ", \"batch_speedup\": "
-           << (mips_total > 0.0 ? batch.mips / mips_total : 0.0);
     // Mega sampled rows are detailed-engine throughput over the
     // sampled intervals only; the fast-forwarded gap instructions are
     // excluded from the MIPS numerator.
@@ -193,7 +176,6 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string out = "BENCH_perf.json";
     std::string ref;
-    bool batch_pass = true;
     bool mega_pass = true;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -208,15 +190,13 @@ main(int argc, char **argv)
             out = argv[++i];
         else if (a == "--ref" && i + 1 < argc)
             ref = argv[++i];
-        else if (a == "--no-batch")
-            batch_pass = false;
         else if (a == "--no-mega")
             mega_pass = false;
         else {
             std::fprintf(stderr,
                          "usage: perf_baseline [--insts N] "
                          "[--mega-insts N] [--jobs J] [--out FILE] "
-                         "[--ref FILE] [--no-batch] [--no-mega]\n");
+                         "[--ref FILE] [--no-mega]\n");
             return 2;
         }
     }
@@ -285,44 +265,6 @@ main(int argc, char **argv)
                          ref.c_str());
     }
 
-    // Batched-column evidence pass: the same grid, scheduled as one
-    // lockstep job per workload (ROADMAP item 3's ">2x grid
-    // throughput" target is measured on this number).
-    BatchEvidence batch;
-    if (batch_pass) {
-        auto bspec = spec;
-        bspec.batch = true;
-        const auto bresult = sim::runSweep(bspec);
-        double bwall = 0.0;
-        bool all_ok = true;
-        for (const auto &r : bresult.rows) {
-            if (!r.baselineOutcome.ok())
-                all_ok = false;
-            bwall += r.baselinePerf.wallMs;
-            for (std::size_t ci = 0; ci < bspec.configs.size();
-                 ++ci) {
-                if (!r.outcomes[ci].ok())
-                    all_ok = false;
-                bwall += r.perf[ci].wallMs;
-            }
-        }
-        if (all_ok && bwall > 0.0) {
-            batch.recorded = true;
-            batch.wallMs = bwall;
-            batch.mips = total_uops / (bwall * 1e3);
-            std::printf("batched columns: wall sum %.0f ms, "
-                        "aggregate %.3f MIPS (%.2fx vs serial "
-                        "cells)\n",
-                        bwall, batch.mips,
-                        mips_total > 0.0 ? batch.mips / mips_total
-                                         : 0.0);
-        } else {
-            std::fprintf(stderr,
-                         "warn: batched pass incomplete; no "
-                         "batch_mips recorded\n");
-        }
-    }
-
     // Mega sampled pass: the composed 1M+-uop traces run under the
     // default interval-sampling spec (--sample), one row per config,
     // so the perf trajectory records streaming+sampling throughput at
@@ -332,7 +274,6 @@ main(int argc, char **argv)
         auto mspec = spec;
         mspec.workloads = {"mega-mix", "mega-storm"};
         mspec.insts = mega_insts;
-        mspec.batch = false;
         mspec.sample.enabled = true;
         sim::TraceStore mstore;
         mspec.store = &mstore;
@@ -376,8 +317,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
         return 1;
     }
-    writePerfJson(os, rows, insts, jobs, wall_sum, mips_total, batch,
-                  mega);
+    writePerfJson(os, rows, insts, jobs, wall_sum, mips_total, mega);
     std::fprintf(stderr, "wrote %s\n", out.c_str());
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection for exercising the fault-tolerance
- * layer (sweep isolation, retry, watchdogs, trace_io hardening).
+ * layer (sweep isolation, retry, watchdogs, trace loader hardening).
  *
  * A FaultPlan is parsed from a compact spec string — the
  * DLVP_FAULT_INJECT environment variable or the CLI --fault-plan
@@ -14,13 +14,9 @@
  *                                         RunError{trace_build}
  *          | 'stall' ':' target '=' ms    sleep <ms> inside the matching
  *                                         sweep job before simulating
- *          | 'lane' ':' target            throw RunError{internal} from the
- *                                         matching lane of a batched
- *                                         column after its first lockstep
- *                                         chunk (mid-column), exercising
- *                                         per-lane isolation
- *          | 'trunc' ':' nbytes           truncate trace files loaded via
- *                                         loadTraceFile to <nbytes> bytes
+ *          | 'trunc' ':' nbytes           truncate trace files opened via
+ *                                         ChunkedTraceFile::open to
+ *                                         <nbytes> bytes
  *          | 'flip' ':' byte '.' bit      flip bit <bit> (0-7) of byte
  *                                         <byte> in loaded trace files
  *          | 'cache' ':' op ['@' n]       fire the named result-cache
@@ -95,14 +91,6 @@ class FaultPlan
                      const std::string &config) const;
 
     /**
-     * Should the (workload, config) lane of a batched column fail
-     * mid-run? Consulted by sim::runBatch after the lane's first
-     * lockstep chunk; stateless, so it fires on every matching lane.
-     */
-    bool failLane(const std::string &workload,
-                  const std::string &config) const;
-
-    /**
      * Apply trunc/flip rules to a raw serialized-trace blob.
      * Returns true if @p bytes was mutated.
      */
@@ -141,12 +129,12 @@ class FaultPlan
     static void clearGlobal();
 
   private:
-    enum class Kind { Build, Stall, Lane, Trunc, Flip, Cache, Conn };
+    enum class Kind { Build, Stall, Trunc, Flip, Cache, Conn };
 
     struct Rule
     {
         Kind kind;
-        /** Build/stall/lane: workload pattern ("*" matches any).
+        /** Build/stall: workload pattern ("*" matches any).
          *  Cache/conn: the op name the consulting subsystem asks for. */
         std::string workload;
         std::string config;   ///< "*" matches any (stall only)

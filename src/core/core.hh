@@ -24,7 +24,6 @@
 #define DLVP_CORE_CORE_HH
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,29 +45,15 @@
 #include "trace/trace.hh"
 #include "trace/trace_v2.hh"
 
-namespace dlvp::trace
-{
-class FunctStream;
-} // namespace dlvp::trace
-
 namespace dlvp::core
 {
 
 class OoOCore
 {
   public:
-    /**
-     * @p shared_values, when non-null, is a pre-captured functional
-     * load-value stream for @p trace (trace::FunctStream::capture).
-     * The core then skips its private program-order memory replay —
-     * loads read the shared stream instead — which is what lets a
-     * batch of cores over one trace pay the replay once. CoreStats
-     * are bit-identical either way; only host-side telemetry
-     * (pagesTouched) differs. The stream must outlive the core.
-     */
+    /** @p trace must outlive the core. */
     OoOCore(const CoreParams &params, const VpConfig &vp,
-            const trace::Trace &trace,
-            const trace::FunctStream *shared_values = nullptr);
+            const trace::Trace &trace);
     ~OoOCore();
 
     /**
@@ -78,26 +63,6 @@ class OoOCore
      * predictor and cache state trains through warmup.
      */
     CoreStats run(std::size_t warmup_insts = 0);
-
-    /** @{
-     * Incremental driver, used by sim::BatchRunner to interleave many
-     * cores over one trace in lockstep. beginRun() arms the
-     * deadlock/wall watchdogs and warmup bookkeeping; each
-     * stepUntil() call advances the pipeline until at least
-     * @p target_committed instructions have committed (or the trace
-     * is done), returning true once the whole trace has committed;
-     * finishRun() applies the end-of-run stats fixup and returns the
-     * collected stats. run() is exactly beginRun + one full stepUntil
-     * + finishRun, so both drivers produce bit-identical CoreStats.
-     * stepUntil throws RunError on deadlock/timeout like run().
-     */
-    void beginRun(std::size_t warmup_insts = 0);
-    bool stepUntil(InstSeqNum target_committed);
-    CoreStats finishRun();
-    /** @} */
-
-    /** Instructions committed so far (stepping-driver progress). */
-    InstSeqNum committedInsts() const { return committed_; }
 
     const CoreStats &stats() const { return stats_; }
     const mem::MemoryHierarchy &memory() const { return mem_; }
@@ -445,9 +410,7 @@ class OoOCore
     unsigned prfPortsUsed_ = 0;
 
     // ---- functional state ----
-    /** Shared pre-captured load-value stream; nullptr = private replay. */
-    const trace::FunctStream *funct_ = nullptr;
-    trace::MemoryImage archMem_; ///< empty when funct_ is set
+    trace::MemoryImage archMem_;
     trace::MemoryImage committedMem_;
     InstSeqNum archApplied_ = 0;
     /**
@@ -511,24 +474,6 @@ class OoOCore
     Cycle flushRedirect_ = 0;
 
     CoreStats stats_;
-
-    /**
-     * Watchdog/warmup state spanning stepUntil calls, so a stepped
-     * run walks exactly the same per-iteration checks as run().
-     */
-    struct RunControl
-    {
-        Cycle deadlockLimit = 0;
-        Cycle lastCommitCycle = 0;
-        InstSeqNum lastCommitted = 0;
-        Cycle warmupCycles = 0;
-        std::size_t warmupInsts = 0;
-        bool warm = false;
-        bool wallLimited = false;
-        std::chrono::steady_clock::time_point wallDeadline{};
-        std::uint64_t wallCheck = 0;
-    };
-    RunControl runCtl_;
 
     // Debug-env flags, cached once per core: getenv() rescans the
     // whole environment on every call, which is measurable when

@@ -120,8 +120,10 @@ Dvtage::train(const trace::TraceInst &inst, unsigned dest_idx,
         lv.specValid = true;
         return;
     }
-    const std::int64_t delta = static_cast<std::int64_t>(actual) -
-                               static_cast<std::int64_t>(lv.last);
+    // Subtract in uint64_t: values 2^63 apart would overflow a signed
+    // difference; the conversion back is modulo 2^64 (C++20).
+    const std::int64_t delta =
+        static_cast<std::int64_t>(actual - lv.last);
     const int p = provider(epc, ghr);
     bool provider_correct = false;
     bool steady = false;

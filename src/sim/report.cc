@@ -165,8 +165,7 @@ writeSweepJson(std::ostream &os, const SweepResult &r)
         const auto &row = r.rows[wi];
         body << "    {\"workload\": \"" << jsonEscape(row.workload)
              << "\", \"status\": \"" << jobStatusName(row.status())
-             << "\", \"batch\": " << (row.batch ? "true" : "false")
-             << ", \"lanes\": " << row.lanes << ", \"baseline\": {";
+             << "\", \"baseline\": {";
         writeCellFieldsJson(body, row.baselineOutcome, row.baseline,
                             row.baselinePerf,
                             r.sample.enabled ? &row.baselineSample

@@ -1,9 +1,8 @@
 /**
  * @file
- * Interval sampling parameters, split from sampler.hh so SweepSpec /
- * SweepResult can embed a SampleSpec without pulling the sampler's
- * batch-runner dependencies into sweep.hh (which batch_runner.hh
- * itself includes).
+ * Interval sampling parameters, kept apart from sampler.hh so that
+ * SweepSpec / SweepResult (sim/sweep.hh) can embed a SampleSpec
+ * without depending on the sampler's run API.
  */
 
 #ifndef DLVP_SIM_SAMPLE_SPEC_HH

@@ -184,15 +184,7 @@ struct SweepSpec
     std::function<void(std::size_t done, std::size_t total)> progress;
     /** Trace store to use; nullptr = TraceStore::global(). */
     TraceStore *store = nullptr;
-    /**
-     * Batched column scheduling: run all configs of one workload as a
-     * single lockstep job (sim::runBatch) instead of one job per
-     * cell, so the trace is fetched/decoded once per grid column.
-     * CoreStats are bit-identical either way (tests/
-     * test_batch_runner.cc); only RunPerf telemetry differs. Falls
-     * back to per-cell jobs when batchable(core) is false (cores with
-     * a wall-clock budget) or the grid has a single column.
-     */
+    /** Ignored: every cell runs as its own job. */
     bool batch = false;
 
     /**
@@ -201,7 +193,7 @@ struct SweepSpec
      * rows carry per-cell SampleCell telemetry; with sample.check the
      * full run happens too and the CPI error is recorded. Sampled
      * results keep the determinism contract: bit-identical for any
-     * job count and between batched and per-cell scheduling.
+     * job count.
      */
     SampleSpec sample{};
 
@@ -248,10 +240,6 @@ struct SweepRow
     std::vector<RunPerf> perf;            ///< one per spec config
     JobOutcome baselineOutcome;           ///< baseline cell status
     std::vector<JobOutcome> outcomes;     ///< one per spec config
-    /** This row ran as one batched lockstep column job. */
-    bool batch = false;
-    /** Lanes in that job (baseline + configs); 1 for per-cell jobs. */
-    unsigned lanes = 1;
     /** Sampling telemetry; meaningful when the sweep sampled. */
     SampleCell baselineSample;
     std::vector<SampleCell> samples; ///< one per spec config

@@ -41,6 +41,29 @@ corruptErr(const std::string &what)
                            "trace file (v2): " + what);
 }
 
+/**
+ * Read and check the 8-byte magic. A dlvp trace of another format
+ * version (v1's "DLVPTRC1" included) is named in the error, so a user
+ * holding an old file learns why it no longer loads.
+ */
+void
+readMagic(std::istream &is)
+{
+    char magic[8];
+    is.read(magic, sizeof(magic));
+    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2) - 1) != 0)
+        corruptErr("bad magic (not a dlvp trace file)");
+    if (magic[7] != kMagicV2[7]) {
+        const unsigned char v = static_cast<unsigned char>(magic[7]);
+        const std::string found =
+            v >= '0' && v <= '9'
+                ? std::string(1, static_cast<char>(v))
+                : "byte " + std::to_string(v);
+        corruptErr("unsupported format version " + found +
+                   " (only dlvp-trace-v2, magic DLVPTRC2, is read)");
+    }
+}
+
 std::uint64_t
 fnv1a(const char *data, std::size_t len)
 {
@@ -136,7 +159,11 @@ getString(std::istream &is, std::string &s)
     return static_cast<bool>(is);
 }
 
-/** See trace_io.cc bytesRemaining — same overflow guard. */
+/**
+ * Bytes left in the stream, or -1 when the stream is not seekable.
+ * Used to reject section counts that promise more payload than the
+ * stream holds, before any multi-GB reserve() can fire.
+ */
 std::streamoff
 bytesRemaining(std::istream &is)
 {
@@ -194,8 +221,8 @@ decodeInst(const char *&p, const char *end, Addr &prev_pc,
     i.numDests = static_cast<std::uint8_t>(*p++);
     i.destBase = static_cast<std::uint8_t>(*p++);
     i.memSize = static_cast<std::uint8_t>(*p++);
-    // Same field ranges as the v1 loader: a flipped enum or width must
-    // not feed out-of-range values into core lookup tables.
+    // Field ranges: a flipped enum or width must not feed
+    // out-of-range values into core lookup tables.
     if (cls > static_cast<std::uint8_t>(OpClass::Nop))
         corruptErr("instruction op class out of range");
     if (kind > static_cast<std::uint8_t>(LoadKind::Vector))
@@ -414,12 +441,7 @@ saveTraceFileV2(const Trace &trace, const std::string &path,
 void
 loadTraceV2OrThrow(Trace &trace, std::istream &is)
 {
-    // Caller (trace_io) verified the 8 magic bytes; re-verify here so
-    // the function is safe standalone.
-    char magic[8];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
-        corruptErr("bad magic");
+    readMagic(is);
     const HeaderV2 h = readHeaderV2(is, trace.initialImage);
     trace.name = h.name;
     trace.suite = h.suite;
@@ -476,6 +498,12 @@ loadTraceV2OrThrow(Trace &trace, std::istream &is)
         corruptErr("truncated or malformed index footer");
 }
 
+void
+loadTraceFileOrThrow(Trace &trace, const std::string &path)
+{
+    trace.attachStream(ChunkedTraceFile::open(path));
+}
+
 // ---------------------------------------------------------------------
 // Random-access file handle
 // ---------------------------------------------------------------------
@@ -513,10 +541,7 @@ ChunkedTraceFile::open(const std::string &path)
         is = owned.get();
     }
 
-    char magic[8];
-    is->read(magic, sizeof(magic));
-    if (!*is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
-        corruptErr("bad magic (not a dlvp v2 trace file)");
+    readMagic(*is);
     const HeaderV2 h = readHeaderV2(*is, self->image_);
     self->name_ = h.name;
     self->suite_ = h.suite;
@@ -623,8 +648,11 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
     decodeChunkPayload(payload.data(), enc_len, count, checksum,
                        *decoded);
     cache_.insert(cache_.begin(), CacheEntry{ci, decoded});
-    // Lockstep lanes stay within one batch chunk (8192 insts) of each
-    // other, so a handful of decoded chunks covers every sharer.
+    // A cursor reads the chunks under the core's in-flight window
+    // plus a one-chunk fetch lookahead (TraceCursor), so a few cached
+    // chunks serve it, and readers sharing the file that progress
+    // together decode each chunk once. The bound keeps resident
+    // memory O(chunk).
     constexpr std::size_t kMaxCached = 4;
     if (cache_.size() > kMaxCached)
         cache_.resize(kMaxCached);

@@ -2,14 +2,12 @@
  * @file
  * dlvp-trace-v2: the chunked, delta/varint-compressed on-disk trace
  * format, plus the streaming reader that serves it to the core with
- * O(chunk) resident memory.
+ * O(chunk) resident memory. It is the only on-disk trace format.
  *
- * Why a second format: v1 (trace_io.hh) serializes fixed 50-byte
- * records and must be fully materialized to be simulated, so a
- * 10M-instruction mega trace costs ~500 MB of records on disk and the
- * same again in RAM. v2 splits the instruction stream into fixed-size
- * chunks that decode independently, so a reader holds only the chunks
- * covering the core's in-flight window.
+ * The instruction stream is split into fixed-size chunks that decode
+ * independently, so a reader holds only the chunks covering the
+ * core's in-flight window (~21 B/uop on disk; a 10M-instruction mega
+ * trace simulates in tens of MB of RAM).
  *
  * Layout (little-endian):
  *
@@ -46,7 +44,7 @@
  * Delta state resets at every chunk boundary, which is what makes a
  * chunk decodable without its predecessors (the index footer's O(1)
  * seek would otherwise be useless). Every field is validated on
- * decode with the same ranges as the v1 loader; any violation —
+ * decode (enum and width ranges); any violation —
  * including a checksum mismatch — raises RunError{io_corrupt}, never
  * a crash (fuzzed in tests/test_mega.cc).
  */
@@ -125,17 +123,28 @@ bool saveTraceFileV2(const Trace &trace, const std::string &path,
 /**
  * Materializing v2 loader: reads the whole stream (header, every
  * chunk) into @p trace.insts, sequentially — no seeking needed, so it
- * works on any istream. Called by trace_io's loadTraceOrThrow when the
- * magic says v2. Throws RunError{io_corrupt} on any malformed byte.
+ * works on any istream. Throws RunError{io_corrupt} on any malformed
+ * byte, including another format version's magic.
  */
 void loadTraceV2OrThrow(Trace &trace, std::istream &is);
+
+/**
+ * Open the v2 file at @p path as a stream backing for @p trace (see
+ * Trace::attachStream): the core then reads decoded chunks on demand.
+ * Throws RunError{io_corrupt} for a missing or unreadable file, any
+ * other magic (the retired v1 "DLVPTRC1" included, named in the
+ * message) and any malformed header or index; a corrupt chunk
+ * surfaces as io_corrupt at its first decode. Trunc/flip rules of the
+ * global FaultPlan apply (ChunkedTraceFile::open).
+ */
+void loadTraceFileOrThrow(Trace &trace, const std::string &path);
 
 /**
  * Random-access handle on a v2 trace file. Parses the header and the
  * index footer eagerly (pages included — the image is needed before
  * instruction zero anyway) but decodes instruction chunks lazily and
- * caches the most recent few so concurrent readers (batched lanes,
- * the shared TraceStore) decode each chunk once, not once per lane.
+ * caches the most recent few so concurrent readers of one file decode
+ * each chunk once, not once per reader.
  *
  * Thread-safe: chunk() may be called from any number of threads.
  *

@@ -26,10 +26,10 @@ struct DetBad
         return total;
     }
 
-    // Lockstep-scheduling shape: timing a lane with a clock that may
-    // alias wall time.
+    // Timing a slice of work with a clock that may alias wall
+    // time.
     long
-    laneSlice()
+    timedSlice()
     {
         auto t0 = std::chrono::high_resolution_clock::now();
         return t0.time_since_epoch().count();

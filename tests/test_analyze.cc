@@ -120,21 +120,21 @@ TEST(AnalyzeDeterminism, FlagsRandTimeUnorderedIterAndPointerKeys)
         EXPECT_EQ(f.rule, "determinism") << f.message;
 }
 
-// The batched lockstep runner must never derive simulated behavior
-// from wall time or unordered iteration: a lane's stats are pinned
-// bit-identical to the serial engine (test_batch_runner.cc), so any
-// determinism finding in these sources is a real bug, not style.
-TEST(AnalyzeDeterminism, BatchRunnerSourcesAreClean)
+// The sweep scheduler, the interval sampler and the trace streaming
+// path must never derive simulated behavior from wall time or
+// unordered iteration: their stats are pinned bit-identical for any
+// job count (test_sweep.cc, test_mega.cc), so any determinism finding
+// in these sources is a real bug, not style.
+TEST(AnalyzeDeterminism, SchedulingSourcesAreClean)
 {
     namespace fs = std::filesystem;
     const fs::path root = DLVP_ANALYZE_REPO_ROOT;
     AnalyzeConfig config;
     config.rules = {"determinism"};
     for (const char *f :
-         {"src/sim/batch_runner.hh", "src/sim/batch_runner.cc",
-          "src/sim/sweep.hh", "src/sim/sweep.cc",
-          "src/trace/funct_stream.hh", "src/sim/sampler.hh",
-          "src/sim/sampler.cc", "src/sim/sample_spec.hh",
+         {"src/sim/sweep.hh", "src/sim/sweep.cc",
+          "src/sim/sampler.hh", "src/sim/sampler.cc",
+          "src/sim/sample_spec.hh",
           "src/trace/trace_v2.hh", "src/trace/trace_v2.cc",
           "src/trace/mega.hh", "src/trace/mega.cc"}) {
         const fs::path p = root / f;

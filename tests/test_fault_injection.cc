@@ -92,7 +92,8 @@ TEST(FaultPlan, RejectsMalformedSpecs)
 {
     for (const char *bad :
          {"build", "build:", "bogus:mcf", "stall:mcf", "flip:12",
-          "flip:1.9", "trunc:xyz", "build:mcf@0", "seed"}) {
+          "flip:1.9", "trunc:xyz", "build:mcf@0", "seed",
+          "lane:mcf"}) {
         EXPECT_THROW((void)FaultPlan::parse(bad), RunError) << bad;
     }
     try {

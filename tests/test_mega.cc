@@ -2,17 +2,18 @@
  * @file
  * Mega-trace pipeline tests (ctest label "mega"): the dlvp-trace-v2
  * chunked format (round trips, corruption fuzzing, fault-plan
- * injection), the streaming reader's equivalence with materialized
- * traces and its O(chunk) memory bound, the mega-trace generator's
- * schedule/density contract, and the interval sampler's determinism —
- * bit-identical sampled CoreStats for any job count and between the
- * batched and per-cell drivers.
+ * injection, rejection of other format versions), the streaming
+ * reader's equivalence with materialized traces and its O(chunk)
+ * memory bound, the mega-trace generator's schedule/density contract,
+ * and the interval sampler's determinism — bit-identical sampled
+ * CoreStats for any job count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -25,7 +26,6 @@
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "trace/mega.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 
@@ -71,25 +71,23 @@ expectSameInsts(const Trace &a, const Trace &b)
 // dlvp-trace-v2 format
 // ---------------------------------------------------------------------
 
-TEST(TraceV2, RoundTripIsBitIdenticalToV1)
+TEST(TraceV2, RoundTripIsBitIdenticalToSource)
 {
     const auto orig = WorkloadRegistry::build("crafty", 9000);
 
-    // v1 and v2 serializations of the same trace must decode to the
-    // same instructions and image.
-    std::stringstream v1buf, v2buf;
-    ASSERT_TRUE(saveTrace(orig, v1buf));
-    ASSERT_TRUE(saveTraceV2(orig, v2buf, 2048));
+    // The v2 serialization must decode to the in-memory source's
+    // instructions and image.
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(orig, buf, 2048));
 
-    Trace fromV1, fromV2;
-    ASSERT_TRUE(loadTrace(fromV1, v1buf));
-    loadTraceOrThrow(fromV2, v2buf); // auto-detects the v2 magic
-    EXPECT_EQ(fromV2.name, orig.name);
-    EXPECT_EQ(fromV2.suite, orig.suite);
-    expectSameInsts(fromV1, fromV2);
-    EXPECT_EQ(fromV2.initialImage.numPages(),
+    Trace loaded;
+    loadTraceV2OrThrow(loaded, buf);
+    EXPECT_EQ(loaded.name, orig.name);
+    EXPECT_EQ(loaded.suite, orig.suite);
+    expectSameInsts(orig, loaded);
+    EXPECT_EQ(loaded.initialImage.numPages(),
               orig.initialImage.numPages());
-    EXPECT_EQ(fromV2.verifyReplay(), fromV2.size());
+    EXPECT_EQ(loaded.verifyReplay(), loaded.size());
 }
 
 TEST(TraceV2, ConvertedTraceSimulatesIdentically)
@@ -141,8 +139,8 @@ TEST(TraceV2, WriterRejectsCountMismatch)
 }
 
 // ---------------------------------------------------------------------
-// v2 corruption fuzzing (same contract as v1: fail cleanly, never
-// crash; satellite of DESIGN.md §9's io_corrupt taxonomy)
+// v2 corruption fuzzing (fail cleanly with io_corrupt, never crash;
+// DESIGN.md §9's io_corrupt taxonomy)
 // ---------------------------------------------------------------------
 
 std::string
@@ -155,6 +153,126 @@ serializedV2(std::size_t insts = 3000, std::uint32_t chunk = 512)
     return buf.str();
 }
 
+/**
+ * The io_corrupt message loadTraceV2OrThrow gives for @p bytes, or ""
+ * if they loaded (any other error kind fails the test).
+ */
+std::string
+streamLoadError(const std::string &bytes)
+{
+    std::stringstream buf(bytes);
+    Trace t;
+    try {
+        loadTraceV2OrThrow(t, buf);
+        return "";
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt) << e.what();
+        return e.what();
+    }
+}
+
+/**
+ * The io_corrupt message loadTraceFileOrThrow gives for a file holding
+ * @p bytes, or "" if the file loaded.
+ */
+std::string
+fileLoadError(const std::string &bytes)
+{
+    // Named after the running test: ctest runs tests in parallel.
+    const std::string name =
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        ".dt2";
+    TempPath p(name.c_str());
+    {
+        std::ofstream os(p.path, std::ios::binary);
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size()));
+    }
+    Trace t;
+    try {
+        loadTraceFileOrThrow(t, p.path);
+        return "";
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt) << e.what();
+        return e.what();
+    }
+}
+
+/**
+ * Bytes of @p t's v2 header before its image pages: the offset of the
+ * first page address, or of chunk 0 when the image is empty.
+ */
+std::size_t
+headerBytes(const Trace &t)
+{
+    // magic | u32 chunkInsts | u64 instCount | name | suite | u64 pages
+    return 8 + 4 + 8 + 4 + t.name.size() + 4 + t.suite.size() + 8;
+}
+
+TEST(CorruptionFuzz, ThrowingLoaderReportsIoCorrupt)
+{
+    const std::string err = fileLoadError("definitely not a trace");
+    EXPECT_NE(err.find("magic"), std::string::npos) << err;
+}
+
+TEST(CorruptionFuzz, WrongVersionByteRejected)
+{
+    // The retired v1 magic and a future v3 both fail as io_corrupt
+    // naming the version found, from either loader.
+    for (const char version : {'1', '3'}) {
+        std::string bytes = serializedV2(500);
+        bytes[7] = version; // "DLVPTRC" intact, version changed
+        const std::string want = std::string("version ") + version;
+        for (const std::string &err :
+             {fileLoadError(bytes), streamLoadError(bytes)})
+            EXPECT_NE(err.find(want), std::string::npos) << err;
+    }
+}
+
+TEST(CorruptionFuzz, HugeInstructionCountFailsFastWithoutOom)
+{
+    // The u64 instCount follows the magic and the u32 chunk size.
+    // 2^33 passes the plausibility cap, so only the remaining-bytes
+    // check stands between it and a multi-TB reserve(); under ASan an
+    // attempted allocation of that size would abort the test binary.
+    // The all-ones count trips the cap itself.
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 33, ~std::uint64_t{0}}) {
+        std::string bytes = serializedV2(500);
+        std::memcpy(bytes.data() + 12, &count, sizeof(count));
+        EXPECT_NE(streamLoadError(bytes), "") << count;
+        EXPECT_NE(fileLoadError(bytes), "") << count;
+    }
+}
+
+TEST(CorruptionFuzz, MisalignedPageAddressRejected)
+{
+    const auto orig = WorkloadRegistry::build("viterb", 500);
+    ASSERT_GT(orig.initialImage.numPages(), 0u)
+        << "fuzz target needs a memory image";
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(orig, buf, 512));
+    std::string bytes = buf.str();
+    const std::size_t addr_off = headerBytes(orig);
+    bytes[addr_off] = static_cast<char>(
+        static_cast<unsigned char>(bytes[addr_off]) | 1);
+    const std::string err = fileLoadError(bytes);
+    EXPECT_NE(err.find("aligned"), std::string::npos) << err;
+}
+
+TEST(TraceIo, MissingFileFails)
+{
+    Trace t;
+    try {
+        loadTraceFileOrThrow(t, "/nonexistent/path/x.dt2");
+        FAIL() << "a missing file must not load";
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+    }
+}
+
 TEST(TraceV2Fuzz, EveryTruncationPointFailsCleanly)
 {
     const std::string full = serializedV2();
@@ -165,11 +283,9 @@ TEST(TraceV2Fuzz, EveryTruncationPointFailsCleanly)
     for (std::size_t n = 257; n < full.size(); n += 131)
         cuts.push_back(n);
     cuts.push_back(full.size() - 1);
-    for (const std::size_t n : cuts) {
-        std::stringstream cut(full.substr(0, n));
-        Trace t;
-        EXPECT_FALSE(loadTrace(t, cut)) << "cut at " << n;
-    }
+    for (const std::size_t n : cuts)
+        EXPECT_NE(streamLoadError(full.substr(0, n)), "")
+            << "cut at " << n;
 }
 
 TEST(TraceV2Fuzz, RandomBitFlipsNeverCrash)
@@ -186,13 +302,11 @@ TEST(TraceV2Fuzz, RandomBitFlipsNeverCrash)
                 static_cast<unsigned char>(bytes[byte]) ^
                 (1u << (rng() % 8)));
         }
-        std::stringstream buf(bytes);
-        Trace t;
-        if (!loadTrace(t, buf))
+        if (!streamLoadError(bytes).empty())
             ++rejected;
     }
-    // Unlike v1's raw records, v2 payload bytes are checksummed, so
-    // the reject rate must be high (image-page flips may still load).
+    // Payload bytes are checksummed, so the reject rate must be high
+    // (image-page flips may still load).
     EXPECT_GT(rejected, 150u);
 }
 
@@ -205,22 +319,12 @@ TEST(TraceV2Fuzz, PayloadFlipReportsChecksumMismatch)
     std::stringstream buf;
     ASSERT_TRUE(saveTraceV2(pageless, buf, 256));
     std::string bytes = buf.str();
-    const std::size_t headerEnd = 8 + 4 + 8 + 4 + orig.name.size() +
-                                  4 + orig.suite.size() + 8;
+    const std::size_t headerEnd = headerBytes(pageless);
     // Flip a byte well inside chunk 0's payload (past its 16-byte
     // count/encLen/checksum header).
     bytes[headerEnd + 16 + 40] ^= 0x10;
-    std::stringstream mut(bytes);
-    Trace t;
-    try {
-        loadTraceOrThrow(t, mut);
-        FAIL() << "flipped payload must not load";
-    } catch (const common::RunError &e) {
-        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
-        EXPECT_NE(std::string(e.what()).find("checksum"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::string err = streamLoadError(bytes);
+    EXPECT_NE(err.find("checksum"), std::string::npos) << err;
 }
 
 TEST(TraceV2Fuzz, FaultPlanCorruptsStreamingOpen)
@@ -355,8 +459,8 @@ TEST(Mega, StreamedFileMatchesMaterializedBuild)
 }
 
 // ---------------------------------------------------------------------
-// Interval sampler determinism (ISSUE acceptance: bit-identical
-// sampled CoreStats under any job count and batched vs serial)
+// Interval sampler determinism: bit-identical sampled CoreStats under
+// any job count
 // ---------------------------------------------------------------------
 
 sim::SampleSpec
@@ -400,29 +504,6 @@ TEST(Sampler, DeterministicAndCoversEveryPeriod)
     EXPECT_GT(a.cpi(), 0.0);
 }
 
-TEST(Sampler, BatchedMatchesSerialBitIdentically)
-{
-    const Trace t = buildMega(smallMega());
-    const auto sample = smallSample();
-    const std::vector<sim::BatchLane> lanes = {
-        {"baseline", sim::baselineVp()},
-        {"dlvp", sim::dlvpConfig()},
-        {"stride-dlvp", sim::strideDlvpConfig()},
-    };
-    const auto batched = sim::runSampledBatch(sim::baselineCore(), t,
-                                              lanes, sample);
-    ASSERT_EQ(batched.lanes.size(), lanes.size());
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-        ASSERT_TRUE(batched.lanes[li].outcome.ok()) << lanes[li].name;
-        const auto solo = sim::runSampled(sim::baselineCore(),
-                                          lanes[li].vp, t, sample);
-        EXPECT_TRUE(batched.lanes[li].stats == solo.stats)
-            << "lane " << lanes[li].name
-            << " diverged from its solo sampled run";
-        EXPECT_EQ(batched.intervals, solo.intervals);
-    }
-}
-
 TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
 {
     const Trace t = buildMega(smallMega());
@@ -437,7 +518,7 @@ TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
 
 /** Sampled sweep over the mega workload, parameterized by jobs. */
 sim::SweepResult
-sampledSweep(unsigned jobs, bool batch)
+sampledSweep(unsigned jobs)
 {
     sim::SweepSpec spec;
     spec.workloads = {"mega-mix"};
@@ -450,7 +531,6 @@ sampledSweep(unsigned jobs, bool batch)
         spec.configs.push_back({n, vp});
     }
     spec.jobs = jobs;
-    spec.batch = batch;
     spec.sample = smallSample();
     spec.sample.check = true; // exercise the cpi_error path too
     spec.store = nullptr;
@@ -459,32 +539,27 @@ sampledSweep(unsigned jobs, bool batch)
 
 TEST(Sampler, SweepIsBitIdenticalForAnyJobCountAndScheduling)
 {
-    const auto serial = sampledSweep(1, false);
-    const auto parallel = sampledSweep(8, false);
-    const auto batched = sampledSweep(8, true);
+    const auto serial = sampledSweep(1);
+    const auto parallel = sampledSweep(8);
     ASSERT_EQ(serial.rows.size(), 1u);
+    ASSERT_EQ(parallel.rows.size(), 1u);
     const auto &r1 = serial.rows[0];
-    for (const auto *other : {&parallel, &batched}) {
-        const auto &r2 = other->rows[0];
-        ASSERT_TRUE(r1.baselineOutcome.ok() &&
-                    r2.baselineOutcome.ok());
-        EXPECT_TRUE(r1.baseline == r2.baseline);
-        ASSERT_EQ(r1.results.size(), r2.results.size());
-        for (std::size_t ci = 0; ci < r1.results.size(); ++ci) {
-            ASSERT_TRUE(r1.cellOk(ci) && r2.cellOk(ci));
-            EXPECT_TRUE(r1.results[ci] == r2.results[ci]);
-            EXPECT_EQ(r1.samples[ci].intervals,
-                      r2.samples[ci].intervals);
-            EXPECT_EQ(r1.samples[ci].sampledInsts,
-                      r2.samples[ci].sampledInsts);
-            EXPECT_DOUBLE_EQ(r1.samples[ci].cpiError,
-                             r2.samples[ci].cpiError);
-        }
-        EXPECT_EQ(r1.baselineSample.intervals,
-                  r2.baselineSample.intervals);
-        EXPECT_DOUBLE_EQ(r1.baselineSample.cpiError,
-                         r2.baselineSample.cpiError);
+    const auto &r2 = parallel.rows[0];
+    ASSERT_TRUE(r1.baselineOutcome.ok() && r2.baselineOutcome.ok());
+    EXPECT_TRUE(r1.baseline == r2.baseline);
+    ASSERT_EQ(r1.results.size(), r2.results.size());
+    for (std::size_t ci = 0; ci < r1.results.size(); ++ci) {
+        ASSERT_TRUE(r1.cellOk(ci) && r2.cellOk(ci));
+        EXPECT_TRUE(r1.results[ci] == r2.results[ci]);
+        EXPECT_EQ(r1.samples[ci].intervals, r2.samples[ci].intervals);
+        EXPECT_EQ(r1.samples[ci].sampledInsts,
+                  r2.samples[ci].sampledInsts);
+        EXPECT_DOUBLE_EQ(r1.samples[ci].cpiError,
+                         r2.samples[ci].cpiError);
     }
+    EXPECT_EQ(r1.baselineSample.intervals, r2.baselineSample.intervals);
+    EXPECT_DOUBLE_EQ(r1.baselineSample.cpiError,
+                     r2.baselineSample.cpiError);
     // check=true must have produced real error numbers.
     EXPECT_GE(r1.baselineSample.cpiError, 0.0);
     EXPECT_GE(r1.samples[0].cpiError, 0.0);

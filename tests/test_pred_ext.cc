@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the extension predictors: LVP, D-VTAGE, and the
- * computation-based stride address predictor.
+ * Tests for the extension predictors: LVP, D-VTAGE, the
+ * computation-based stride address predictor, and the partitioned
+ * tournament.
  */
 
 #include <gtest/gtest.h>
@@ -105,6 +106,24 @@ TEST(Dvtage, SpeculativeChainAcrossInflight)
     const auto p2 = d.predictSpec(inst, 0, 0);
     ASSERT_TRUE(p1.valid && p2.valid);
     EXPECT_EQ(p2.value, p1.value + 4);
+}
+
+TEST(Dvtage, StrideWrapsModulo2To64)
+{
+    // Consecutive values 0, 0x8000000000000001, 2, ... lie 2^63 + 1
+    // apart: the delta must wrap modulo 2^64 (no signed overflow, so
+    // this runs clean under UBSan) and still be learned as a stride.
+    Dvtage d({});
+    const auto inst = makeLoad(0x400100);
+    constexpr std::uint64_t kStride = 0x8000000000000001ULL;
+    std::uint64_t v = 0;
+    for (int i = 0; i < 600; ++i) {
+        d.train(inst, 0, 0, v);
+        v += kStride;
+    }
+    const auto p = d.predictSpec(inst, 0, 0);
+    ASSERT_TRUE(p.valid);
+    EXPECT_EQ(p.value, v) << "last + stride, modulo 2^64";
 }
 
 TEST(Dvtage, FlushResyncDropsChains)
@@ -245,6 +264,19 @@ TEST(PredExt, StrideDlvpSchemeRunsInCore)
     // finding that motivates PAP's no-extrapolation design. The
     // invariant here is completion and sane accounting, not accuracy.
     EXPECT_LE(d.vpCorrectLoads, d.vpPredictedLoads);
+}
+
+TEST(PartitionedTournament, RunsAndCoversAtLeastAsMuch)
+{
+    sim::Simulator s(sim::baselineCore(), 80000);
+    const auto naive = s.run("pdfjs", sim::tournamentConfig());
+    const auto part =
+        s.run("pdfjs", sim::partitionedTournamentConfig());
+    EXPECT_EQ(naive.committedInsts, part.committedInsts);
+    // Partitioning frees VTAGE capacity; combined coverage must not
+    // collapse (it usually grows on overlap-heavy workloads).
+    EXPECT_GT(part.coverage(), naive.coverage() * 0.9);
+    EXPECT_GT(part.accuracy(), 0.95);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "pred/pap.hh"
 #include "sim/addr_pred_driver.hh"
 #include "sim/configs.hh"
@@ -92,6 +94,14 @@ struct SchemeCase
     const char *workload;
     const char *scheme;
 };
+
+// Prints the case by value. Without it gtest prints the bytes of the
+// two pointers, which differ from build to build, and the ctest names
+// derived from that listing would never be the same twice.
+void PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.workload << '/' << c.scheme;
+}
 
 class SchemeMatrix : public ::testing::TestWithParam<SchemeCase>
 {

@@ -71,10 +71,9 @@ runDeterminismRule(const SourceFile &f, const SourceFile *sibling,
         "timespec_get", "clock_gettime", "rand_r", "localtime",
     };
     // high_resolution_clock is banned alongside system_clock: the
-    // standard lets it alias the wall clock, so lockstep scheduling
-    // code (batch_runner) that timed lanes with it could observe
-    // different values run to run; steady_clock is the sanctioned
-    // telemetry source.
+    // standard lets it alias the wall clock, so code that timed or
+    // ordered work with it could observe different values run to
+    // run; steady_clock is the sanctioned telemetry source.
     static const std::set<std::string> kBannedIdents = {
         "random_device", "system_clock", "high_resolution_clock",
     };

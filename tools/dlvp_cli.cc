@@ -10,11 +10,10 @@
  *   dlvp_cli sweep <workload> [--insts N] [--jobs J]
  *   dlvp_cli suite [--insts N] [--jobs J] [--json FILE]
  *   dlvp_cli profile <workload> [--insts N]
- *   dlvp_cli gen <workload> <file> [--insts N] [--v2]
+ *   dlvp_cli gen <workload> <file> [--insts N] [--chunk-insts N]
  *   dlvp_cli gen-mega <file> [--insts N] [--phases a,b,c] ...
  *   dlvp_cli runfile <file> [--scheme S]
  *   dlvp_cli trace-info <file>
- *   dlvp_cli trace-convert <in> <out> [--to v1|v2]
  *   dlvp_cli serve-request <socket> <workload> [--scheme S] ...
  *   dlvp_cli serve-request <socket> --ping|--stats|--shutdown
  *
@@ -32,7 +31,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -50,7 +48,6 @@
 #include "sim/sweep.hh"
 #include "trace/mega.hh"
 #include "trace/profilers.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 
@@ -76,7 +73,6 @@ usage()
         "  gen-mega <file> [opts]            compose a mega trace (v2)\n"
         "  runfile <file> [opts]             run a saved trace\n"
         "  trace-info <file>                 describe a saved trace\n"
-        "  trace-convert <in> <out> [opts]   re-encode v1 <-> v2\n"
         "  serve-request <socket> <workload> [opts]\n"
         "                                    ask a dlvp-serve daemon\n"
         "                                    for one row (exit 0 ok,\n"
@@ -84,8 +80,6 @@ usage()
         "  serve-request <socket> --ping|--stats|--shutdown\n"
         "options: --scheme <name> --insts <n> --warmup <n> --dump\n"
         "         --jobs <n> (or DLVP_JOBS) --json <file>\n"
-        "         --batch | --no-batch (lockstep column scheduling;\n"
-        "           default on for suite, off for sweep)\n"
         "         --deadline-ms <n> (sweep/suite wall-clock budget)\n"
         "         --fault-plan <spec> (or DLVP_FAULT_INJECT; see\n"
         "           README \"Fault tolerance\" for the grammar)\n"
@@ -93,8 +87,7 @@ usage()
         "           suite) --sample-warmup <n> --sample-measure <n>\n"
         "           --sample-period <n> --sample-check (also run the\n"
         "           full trace and report the CPI error)\n"
-        "         --v2 (gen: write dlvp-trace-v2)\n"
-        "         --to v1|v2 --chunk-insts <n> (trace-convert)\n"
+        "         --chunk-insts <n> (gen, gen-mega)\n"
         "         --phases <a,b,c> --phase-insts <n> --density <d>\n"
         "           --name <s> (gen-mega)\n"
         "         --seed <n> --priority <p> --client <name>\n"
@@ -123,15 +116,9 @@ struct Options
     std::string jsonPath;    ///< write dlvp-sweep-v1 report here
     double deadlineMs = 0.0; ///< sweep wall-clock budget; 0 = none
     bool dump = false;
-    /** -1 = command default (suite: on, sweep: off), 0 off, 1 on. */
-    int batch = -1;
     /** Interval sampling; sample.enabled set by --sample*. */
     sim::SampleSpec sample;
-    /** gen: write v2 instead of v1. */
-    bool v2 = false;
-    /** trace-convert target format. */
-    std::string to = "v2";
-    /** v2 chunk size (trace-convert, gen-mega, gen --v2). */
+    /** v2 chunk size (gen, gen-mega). */
     std::uint32_t chunkInsts = trace::kDefaultChunkInsts;
     /** gen-mega phase list (comma-separated registry names). */
     std::string phases = "mcf,perlbmk,gzip,crafty";
@@ -184,10 +171,6 @@ parseOptions(int argc, char **argv, int start, Options &opt)
                 std::fprintf(stderr, "%s\n", e.what());
                 return false;
             }
-        } else if (a == "--batch") {
-            opt.batch = 1;
-        } else if (a == "--no-batch") {
-            opt.batch = 0;
         } else if (a == "--dump") {
             opt.dump = true;
         } else if (a == "--sample") {
@@ -207,16 +190,6 @@ parseOptions(int argc, char **argv, int start, Options &opt)
         } else if (a == "--sample-check") {
             opt.sample.enabled = true;
             opt.sample.check = true;
-        } else if (a == "--v2") {
-            opt.v2 = true;
-        } else if (a == "--to" && i + 1 < argc) {
-            opt.to = argv[++i];
-            if (opt.to != "v1" && opt.to != "v2") {
-                std::fprintf(stderr,
-                             "bad --to value '%s' (want v1 or v2)\n",
-                             opt.to.c_str());
-                return false;
-            }
         } else if (a == "--chunk-insts" && i + 1 < argc) {
             const long long v = atoll(argv[++i]);
             if (v < 1 || v > (1 << 24)) {
@@ -404,7 +377,6 @@ cmdSweep(const std::string &workload, const Options &opt)
     auto spec = sweepSpec(opt);
     spec.workloads = {workload};
     spec.deadlineMs = opt.deadlineMs;
-    spec.batch = opt.batch == 1;
     const auto result = sim::runSweep(spec);
     const auto &row = result.rows.front();
     if (row.baselineOutcome.ok())
@@ -432,10 +404,6 @@ cmdSuite(const Options &opt)
 {
     auto spec = sweepSpec(opt);
     spec.deadlineMs = opt.deadlineMs;
-    // Suite defaults to batched columns: results are bit-identical
-    // (sweep determinism tests) and whole-grid throughput is what the
-    // command exists for.
-    spec.batch = opt.batch != 0;
     spec.progress = [](std::size_t done, std::size_t total) {
         std::fprintf(stderr, "\r%zu/%zu jobs%s", done, total,
                      done == total ? "\n" : "");
@@ -506,17 +474,13 @@ cmdGen(const std::string &workload, const std::string &path,
        const Options &opt)
 {
     const auto t = trace::WorkloadRegistry::build(workload, opt.insts);
-    const bool ok = opt.v2
-                        ? trace::saveTraceFileV2(t, path, opt.chunkInsts)
-                        : trace::saveTraceFile(t, path);
-    if (!ok) {
+    if (!trace::saveTraceFileV2(t, path, opt.chunkInsts)) {
         std::fprintf(stderr, "failed to write '%s'\n", path.c_str());
         return 1;
     }
     std::printf("wrote %zu uops (%zu pages of memory image) to %s "
-                "(%s)\n",
-                t.size(), t.initialImage.numPages(), path.c_str(),
-                opt.v2 ? "v2" : "v1");
+                "(v2)\n",
+                t.size(), t.initialImage.numPages(), path.c_str());
     return 0;
 }
 
@@ -548,28 +512,14 @@ cmdGenMega(const std::string &path, const Options &opt)
     return 0;
 }
 
-/** True when the file leads with the dlvp-trace-v2 magic. */
-bool
-isV2File(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    char magic[8] = {};
-    is.read(magic, sizeof(magic));
-    return is && std::memcmp(magic, "DLVPTRC2", sizeof(magic)) == 0;
-}
-
 int
 cmdRunFile(const std::string &path, const Options &opt)
 {
     trace::Trace t;
-    // v2 files attach as a streamed backing (O(chunk) resident); v1
-    // materializes. Either load throws RunError{io_corrupt} with the
-    // precise validation failure (caught in main) instead of a
-    // generic "failed to read".
-    if (isV2File(path))
-        t.attachStream(trace::ChunkedTraceFile::open(path));
-    else
-        trace::loadTraceFileOrThrow(t, path);
+    // Streams the file (O(chunk) resident). A bad file throws
+    // RunError{io_corrupt} with the precise validation failure
+    // (caught in main) instead of a generic "failed to read".
+    trace::loadTraceFileOrThrow(t, path);
     if (t.verifyReplay() != t.size()) {
         std::fprintf(stderr, "trace failed functional replay\n");
         return 1;
@@ -577,8 +527,8 @@ cmdRunFile(const std::string &path, const Options &opt)
     core::VpConfig vp;
     if (!sim::configByName(opt.scheme, vp))
         return unknownConfig(opt.scheme);
-    std::printf("%s (%zu uops from %s%s)\n", t.name.c_str(), t.size(),
-                path.c_str(), t.streamed() ? ", streamed v2" : "");
+    std::printf("%s (%zu uops from %s, streamed v2)\n", t.name.c_str(),
+                t.size(), path.c_str());
     if (opt.sample.enabled)
         return runSampledPair(t, vp, opt);
     sim::Simulator simulator(sim::baselineCore(), t.size());
@@ -591,57 +541,25 @@ cmdRunFile(const std::string &path, const Options &opt)
 int
 cmdTraceInfo(const std::string &path)
 {
-    if (isV2File(path)) {
-        const auto f = trace::ChunkedTraceFile::open(path);
-        const double perInst =
-            f->numInsts() ? static_cast<double>(f->encodedBytes()) /
-                                static_cast<double>(f->numInsts())
-                          : 0.0;
-        std::printf(
-            "format      dlvp-trace-v2\n"
-            "name        %s\n"
-            "suite       %s\n"
-            "uops        %llu\n"
-            "pages       %zu\n"
-            "chunks      %llu x %u uops\n"
-            "file bytes  %llu (%.2f B/uop encoded; v1 would be "
-            "%llu)\n",
-            f->name().c_str(), f->suite().c_str(),
-            static_cast<unsigned long long>(f->numInsts()),
-            f->initialImage().numPages(),
-            static_cast<unsigned long long>(f->numChunks()),
-            f->chunkInsts(),
-            static_cast<unsigned long long>(f->fileBytes()), perInst,
-            static_cast<unsigned long long>(f->numInsts() * 50));
-        return 0;
-    }
-    trace::Trace t;
-    trace::loadTraceFileOrThrow(t, path);
-    std::printf("format      dlvp-trace-v1\n"
+    const auto f = trace::ChunkedTraceFile::open(path);
+    const double perInst =
+        f->numInsts() ? static_cast<double>(f->encodedBytes()) /
+                            static_cast<double>(f->numInsts())
+                      : 0.0;
+    std::printf("format      dlvp-trace-v2\n"
                 "name        %s\n"
                 "suite       %s\n"
-                "uops        %zu\n"
-                "pages       %zu\n",
-                t.name.c_str(), t.suite.c_str(), t.size(),
-                t.initialImage.numPages());
-    return 0;
-}
-
-int
-cmdTraceConvert(const std::string &in, const std::string &out,
-                const Options &opt)
-{
-    trace::Trace t;
-    trace::loadTraceFileOrThrow(t, in); // materializes either format
-    const bool ok = opt.to == "v1"
-                        ? trace::saveTraceFile(t, out)
-                        : trace::saveTraceFileV2(t, out, opt.chunkInsts);
-    if (!ok) {
-        std::fprintf(stderr, "failed to write '%s'\n", out.c_str());
-        return 1;
-    }
-    std::printf("converted %zu uops: %s -> %s (%s)\n", t.size(),
-                in.c_str(), out.c_str(), opt.to.c_str());
+                "uops        %llu\n"
+                "pages       %zu\n"
+                "chunks      %llu x %u uops\n"
+                "file bytes  %llu (%.2f B/uop encoded)\n",
+                f->name().c_str(), f->suite().c_str(),
+                static_cast<unsigned long long>(f->numInsts()),
+                f->initialImage().numPages(),
+                static_cast<unsigned long long>(f->numChunks()),
+                f->chunkInsts(),
+                static_cast<unsigned long long>(f->fileBytes()),
+                perInst);
     return 0;
 }
 
@@ -742,9 +660,6 @@ main(int argc, char **argv)
             return cmdRunFile(argv[2], opt);
         if (cmd == "trace-info" && argc >= 3)
             return cmdTraceInfo(argv[2]);
-        if (cmd == "trace-convert" && argc >= 4 &&
-            parseOptions(argc, argv, 4, opt))
-            return cmdTraceConvert(argv[2], argv[3], opt);
         if (cmd == "serve-request" && argc >= 3) {
             // The workload operand is optional for --ping/--stats/
             // --shutdown, so peek before deciding where options start.
