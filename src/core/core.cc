@@ -163,6 +163,13 @@ OoOCore::firstFetchFunctional(InstSeqNum seq, const TraceInst &inst)
         archMem_.write(inst.memAddr, inst.storeValue, inst.memSize);
 }
 
+trace::MemoryImage
+OoOCore::takeArchImage()
+{
+    dlvp_assert(archApplied_ == trace_.size());
+    return std::move(archMem_);
+}
+
 // ---------------------------------------------------------------------
 // Fetch
 // ---------------------------------------------------------------------

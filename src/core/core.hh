@@ -64,6 +64,16 @@ class OoOCore
      */
     CoreStats run(std::size_t warmup_insts = 0);
 
+    /**
+     * Move out the functional memory image: the trace's initial image
+     * advanced by every store and atomic of the trace, in program
+     * order (first fetch applies each exactly once, so refetch after
+     * a flush does not re-apply). Valid only after run() returned;
+     * leaves the core's own copy empty. Lets the sampler continue
+     * fast-forward from the end of a detailed interval.
+     */
+    trace::MemoryImage takeArchImage();
+
     const CoreStats &stats() const { return stats_; }
     const mem::MemoryHierarchy &memory() const { return mem_; }
 

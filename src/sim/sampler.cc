@@ -46,23 +46,27 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
     validateSpec(sample);
     SampledRun out;
     // Functional fast-forward: the architectural image is advanced by
-    // store replay from the end of one slice to the start of the next,
-    // so each interval begins from correct memory state. Boundaries
-    // depend only on (trace size, spec) — the determinism anchor.
+    // store replay from the end of one interval to the start of the
+    // next, so each interval begins from correct memory state; across
+    // an interval the detailed core's own functional image carries it
+    // on, so every instruction is decoded once. Boundaries depend only
+    // on (trace size, spec) — the determinism anchor.
     trace::MemoryImage image = trace.initialImage;
     std::size_t pos = 0;
     for (std::size_t start = 0; start < trace.size();
          start += sample.periodInsts) {
         trace::advanceImage(image, trace, pos, start);
-        pos = start;
         const std::size_t avail = trace.size() - start;
         if (avail <= sample.warmupInsts)
             break; // no measurable instructions left in the tail
         const std::size_t count = std::min(
             avail, sample.warmupInsts + sample.measureInsts);
-        const trace::Trace slice = trace.slice(start, count, image);
-        core::OoOCore core(params, vp, slice);
+        const trace::Trace window =
+            trace.window(start, count, std::move(image));
+        core::OoOCore core(params, vp, window);
         out.stats.accumulate(core.run(sample.warmupInsts));
+        image = core.takeArchImage();
+        pos = start + count;
         ++out.intervals;
     }
     return out;

@@ -13,17 +13,20 @@
  * The gap to the next period is skipped *functionally*: only the
  * committed stores are replayed into the memory image
  * (trace::advanceImage), so every interval starts from the
- * architecturally correct memory state.
+ * architecturally correct memory state. The detailed core's own
+ * functional image (OoOCore::takeArchImage) carries that state across
+ * the interval itself.
  *
  * Determinism: interval boundaries are instruction indices derived
  * from (trace size, SampleSpec) alone — never wall time — and each
- * interval simulates a materialized slice seeded only by the spec, so
+ * interval simulates a Trace::window seeded only by the spec, so
  * sampled CoreStats are bit-identical across job counts (ctest label
  * `mega`).
  *
- * Streaming: slices materialize O(warmup + measure) instructions at a
- * time via Trace::forEachInst, so sampling a v2-backed streamed trace
- * never materializes the full instruction stream.
+ * Streaming: a streamed trace's window shares its v2 file, so the
+ * core decodes the interval's chunks on demand and each instruction
+ * is decoded once per run; sampling never materializes the
+ * instruction stream.
  */
 
 #ifndef DLVP_SIM_SAMPLER_HH

@@ -14,6 +14,7 @@ Trace::attachStream(std::shared_ptr<ChunkedTraceFile> file)
     suite = file->suite();
     initialImage = file->initialImage();
     insts.clear();
+    streamBase_ = 0;
     streamSize_ = file->numInsts();
     stream_ = std::move(file);
 }
@@ -29,8 +30,10 @@ Trace::forEachInst(
             fn(insts[i]);
         return;
     }
+    // File indices from here on.
     const std::uint32_t per = stream_->chunkInsts();
-    for (std::size_t i = begin; i < end;) {
+    end += streamBase_;
+    for (std::size_t i = streamBase_ + begin; i < end;) {
         const std::uint64_t ci = i / per;
         const auto chunk = stream_->chunk(ci);
         const std::size_t start = stream_->chunkStart(ci);
@@ -41,18 +44,32 @@ Trace::forEachInst(
 }
 
 Trace
-Trace::slice(std::size_t begin, std::size_t count,
-             MemoryImage image) const
+Trace::window(std::size_t begin, std::size_t count,
+              MemoryImage image) const
 {
+    begin = std::min(begin, size());
+    count = std::min(count, size() - begin);
     Trace sub;
     sub.name = name;
     sub.suite = suite;
     sub.initialImage = std::move(image);
-    sub.insts.reserve(count);
-    forEachInst(begin, begin + count,
-                [&sub](const TraceInst &inst) {
-                    sub.insts.push_back(inst);
-                });
+    if (stream_) {
+        sub.stream_ = stream_;
+        sub.streamBase_ = streamBase_ + begin;
+        sub.streamSize_ = count;
+    } else {
+        sub.insts.assign(insts.begin() + begin,
+                         insts.begin() + begin + count);
+    }
+    return sub;
+}
+
+Trace
+Trace::slice(std::size_t begin, std::size_t count,
+             MemoryImage image) const
+{
+    Trace sub = window(begin, count, std::move(image));
+    sub.materialize();
     return sub;
 }
 
@@ -66,6 +83,7 @@ Trace::materialize()
         insts.push_back(inst);
     });
     stream_.reset();
+    streamBase_ = 0;
     streamSize_ = 0;
 }
 

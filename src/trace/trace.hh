@@ -6,7 +6,8 @@
  * A Trace is either *materialized* (every instruction resident in
  * `insts`, the only mode before dlvp-trace-v2) or *streamed* (backed
  * by a ChunkedTraceFile that decodes fixed-size chunks on demand, so
- * a 10M-instruction mega trace costs O(chunk) resident memory). All
+ * a 10M-instruction mega trace costs O(chunk) resident memory; a
+ * window() of it streams a sub-range of the same file). All
  * whole-trace scans go through forEachInst(), which walks either
  * backing; random access for the core goes through TraceCursor
  * (trace_v2.hh). operator[] stays materialized-only — it is the hot
@@ -99,16 +100,25 @@ class Trace
     }
 
     /**
-     * Materialized sub-trace of instructions [begin, begin+count)
-     * executing against @p image (the caller supplies the functional
-     * memory state at @p begin — see advanceImage). Sampled
-     * simulation's per-interval unit.
+     * Sub-trace of instructions [begin, begin+count), clipped at
+     * size(), executing against @p image (the caller supplies the
+     * functional memory state at @p begin — see advanceImage).
+     * Sampled simulation's per-interval unit. A streamed trace's
+     * window shares the backing file and decodes nothing here; a
+     * materialized trace's window copies its instructions.
      */
+    Trace window(std::size_t begin, std::size_t count,
+                 MemoryImage image) const;
+
+    /** window() decoded into a materialized trace. */
     Trace slice(std::size_t begin, std::size_t count,
                 MemoryImage image) const;
 
     /** Decode a streamed trace fully into `insts`; drops the backing. */
     void materialize();
+
+    /** First file instruction a streamed trace covers (0 unless a window). */
+    std::size_t streamBase() const { return streamBase_; }
 
     TraceMix mix() const;
 
@@ -123,6 +133,8 @@ class Trace
 
   private:
     std::shared_ptr<ChunkedTraceFile> stream_;
+    /** Instruction 0 of this trace is file instruction streamBase_. */
+    std::size_t streamBase_ = 0;
     /** Cached so the core's per-cycle size() checks stay a load. */
     std::size_t streamSize_ = 0;
 };

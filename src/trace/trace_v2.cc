@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <istream>
 #include <iterator>
@@ -64,15 +65,23 @@ readMagic(std::istream &is)
     }
 }
 
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+
+/** Continue FNV-1a 64 hash @p h over [p, end). */
 std::uint64_t
-fnv1a(const char *data, std::size_t len)
+fnv1aUpdate(std::uint64_t h, const char *p, const char *end)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
+    for (; p < end; ++p) {
+        h ^= static_cast<unsigned char>(*p);
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+std::uint64_t
+fnv1a(const char *data, std::size_t len)
+{
+    return fnv1aUpdate(kFnvOffsetBasis, data, data + len);
 }
 
 std::uint64_t
@@ -253,8 +262,12 @@ decodeInst(const char *&p, const char *end, Addr &prev_pc,
 }
 
 /**
- * Decode one chunk payload (post-header) into @p out, validating the
- * checksum first so a flipped payload byte is reported as such rather
+ * Decode one chunk payload (post-header) into @p out and validate its
+ * checksum. Each record is hashed right after it decodes, so the
+ * serial FNV-1a chain overlaps the parse of the next record instead
+ * of running as a separate pass. A field or overrun error is held
+ * until the rest of the payload is hashed: a checksum mismatch
+ * outranks it, so a flipped payload byte is reported as such rather
  * than as whatever field it lands in.
  */
 void
@@ -262,15 +275,27 @@ decodeChunkPayload(const char *data, std::uint32_t enc_len,
                    std::uint32_t count, std::uint64_t checksum,
                    std::vector<TraceInst> &out)
 {
-    if (fnv1a(data, enc_len) != checksum)
-        corruptErr("chunk checksum mismatch");
     const char *p = data;
     const char *end = data + enc_len;
+    const char *hashed = data;
+    std::uint64_t h = kFnvOffsetBasis;
     Addr prev_pc = 0, prev_mem = 0;
     out.clear();
     out.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k)
-        out.push_back(decodeInst(p, end, prev_pc, prev_mem));
+    std::exception_ptr field_error;
+    try {
+        for (std::uint32_t k = 0; k < count; ++k) {
+            out.push_back(decodeInst(p, end, prev_pc, prev_mem));
+            h = fnv1aUpdate(h, hashed, p);
+            hashed = p;
+        }
+    } catch (const common::RunError &) {
+        field_error = std::current_exception();
+    }
+    if (fnv1aUpdate(h, hashed, end) != checksum)
+        corruptErr("chunk checksum mismatch");
+    if (field_error)
+        std::rethrow_exception(field_error);
     if (p != end)
         corruptErr("chunk payload has trailing bytes");
 }
@@ -690,26 +715,34 @@ TraceCursor::miss(std::size_t i)
         i >= trace_->size())
         throw common::RunError(common::ErrorKind::Internal,
                                "trace cursor read out of range");
+    // Pins are in trace indices: chunk ci clipped to the trace's
+    // [streamBase, streamBase + size) range of the file.
     const ChunkedTraceFile &file = *trace_->stream();
-    const std::uint64_t ci = i / file.chunkInsts();
-    const std::size_t begin =
+    const std::size_t base = trace_->streamBase();
+    const std::uint64_t ci = (base + i) / file.chunkInsts();
+    const std::size_t chunk_start =
         static_cast<std::size_t>(file.chunkStart(ci));
+    const std::size_t begin = std::max(chunk_start, base) - base;
     for (const Pin &pin : pins_) {
-        if (pin.begin == begin) {
-            window_ = pin.data->data();
-            base_ = pin.begin;
-            count_ = pin.end - pin.begin;
-            return window_[i - base_];
-        }
+        if (pin.begin == begin)
+            return show(pin, i);
     }
     Pin pin;
     pin.data = file.chunk(ci);
+    pin.first = pin.data->data() + (begin + base - chunk_start);
     pin.begin = begin;
-    pin.end = begin + pin.data->size();
+    pin.end = std::min(chunk_start + pin.data->size() - base,
+                       trace_->size());
     pins_.push_back(pin);
     maxPinned_ = std::max(maxPinned_, pins_.size());
     minPinEnd_ = std::min(minPinEnd_, pin.end);
-    window_ = pin.data->data();
+    return show(pin, i);
+}
+
+const TraceInst &
+TraceCursor::show(const Pin &pin, std::size_t i)
+{
+    window_ = pin.first;
     base_ = pin.begin;
     count_ = pin.end - pin.begin;
     return window_[i - base_];

@@ -279,15 +279,20 @@ class TraceCursor
     std::size_t maxPinned() const { return maxPinned_; }
 
   private:
-    const TraceInst &miss(std::size_t i);
-    void drop(std::size_t i);
-
+    /** One decoded chunk's instructions [begin, end) of the trace. */
     struct Pin
     {
         std::size_t begin = 0;
         std::size_t end = 0;
+        /** Instruction begin inside data. */
+        const TraceInst *first = nullptr;
         ChunkedTraceFile::ChunkPtr data;
     };
+
+    const TraceInst &miss(std::size_t i);
+    /** Make @p pin the active window and return instruction @p i. */
+    const TraceInst &show(const Pin &pin, std::size_t i);
+    void drop(std::size_t i);
 
     const Trace *trace_ = nullptr;
     const TraceInst *window_ = nullptr;

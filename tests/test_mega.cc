@@ -15,16 +15,20 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
 
 #include "common/fault_inject.hh"
+#include "common/rng.hh"
 #include "common/run_error.hh"
+#include "core/core.hh"
 #include "sim/configs.hh"
 #include "sim/sampler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
+#include "trace/kernel_ctx.hh"
 #include "trace/mega.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
@@ -172,8 +176,8 @@ streamLoadError(const std::string &bytes)
 }
 
 /**
- * The io_corrupt message loadTraceFileOrThrow gives for a file holding
- * @p bytes, or "" if the file loaded.
+ * The io_corrupt message loadTraceFileOrThrow, then decoding every
+ * chunk, gives for a file holding @p bytes, or "" if all of it loaded.
  */
 std::string
 fileLoadError(const std::string &bytes)
@@ -193,6 +197,7 @@ fileLoadError(const std::string &bytes)
     Trace t;
     try {
         loadTraceFileOrThrow(t, p.path);
+        t.forEachInst([](const TraceInst &) {});
         return "";
     } catch (const common::RunError &e) {
         EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt) << e.what();
@@ -327,6 +332,52 @@ TEST(TraceV2Fuzz, PayloadFlipReportsChecksumMismatch)
     EXPECT_NE(err.find("checksum"), std::string::npos) << err;
 }
 
+/** FNV-1a 64, the v2 chunk checksum, computed independently. */
+std::uint64_t
+testFnv1a(const char *data, std::size_t len)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= static_cast<unsigned char>(data[i]);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(TraceV2Decode, ChecksumMismatchOutranksFieldError)
+{
+    const auto orig = WorkloadRegistry::build("viterb", 1000);
+    Trace pageless = orig;
+    pageless.initialImage = MemoryImage();
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(pageless, buf, 256));
+    std::string bytes = buf.str();
+    // Chunk 0: u32 count | u32 encLen | u64 checksum | payload, whose
+    // first byte is record 0's op class.
+    const std::size_t chunk0 = headerBytes(pageless);
+    std::uint32_t enc_len = 0;
+    std::memcpy(&enc_len, bytes.data() + chunk0 + 4, sizeof(enc_len));
+    const std::size_t payload = chunk0 + 16;
+    ASSERT_LE(payload + enc_len, bytes.size());
+    bytes[payload] = static_cast<char>(0xff);
+
+    // Checksum left stale: the mismatch is what is reported.
+    for (const std::string &err :
+         {streamLoadError(bytes), fileLoadError(bytes)})
+        EXPECT_NE(err.find("chunk checksum mismatch"), std::string::npos)
+            << err;
+
+    // Checksum recomputed over the edited payload: the field error.
+    const std::uint64_t h = testFnv1a(bytes.data() + payload, enc_len);
+    std::memcpy(bytes.data() + chunk0 + 8, &h, sizeof(h));
+    for (const std::string &err :
+         {streamLoadError(bytes), fileLoadError(bytes)}) {
+        EXPECT_NE(err.find("op class out of range"), std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("checksum"), std::string::npos) << err;
+    }
+}
+
 TEST(TraceV2Fuzz, FaultPlanCorruptsStreamingOpen)
 {
     const auto orig = WorkloadRegistry::build("viterb", 2000);
@@ -459,6 +510,139 @@ TEST(Mega, StreamedFileMatchesMaterializedBuild)
 }
 
 // ---------------------------------------------------------------------
+// Trace windows and the core's functional image (the sampler's units)
+// ---------------------------------------------------------------------
+
+/** @p t's instructions via forEachInst, as a materialized trace. */
+Trace
+collected(const Trace &t)
+{
+    Trace out;
+    t.forEachInst(
+        [&out](const TraceInst &inst) { out.insts.push_back(inst); });
+    return out;
+}
+
+core::CoreStats
+runCore(const Trace &t)
+{
+    core::OoOCore core(sim::baselineCore(), sim::dlvpConfig(), t);
+    return core.run(500);
+}
+
+TEST(TraceWindow, StreamedWindowMatchesSlice)
+{
+    const MegaSpec spec = smallMega();
+    TempPath p("window.dt2");
+    writeMegaV2(spec, p.path);
+    Trace streamed;
+    streamed.attachStream(ChunkedTraceFile::open(p.path));
+    const std::size_t n = streamed.size();
+
+    struct Range
+    {
+        std::size_t begin, count, expect;
+    };
+    // Unaligned begin inside chunk 0, across several 4096-inst chunks,
+    // and clipped at the trace end.
+    for (const Range r : {Range{1000, 3000, 3000},
+                          Range{4000, 9000, 9000},
+                          Range{n - 700, 5000, 700}}) {
+        MemoryImage image = streamed.initialImage;
+        advanceImage(image, streamed, 0, r.begin);
+        const Trace window = streamed.window(r.begin, r.count, image);
+        const Trace slice = streamed.slice(r.begin, r.count, image);
+        ASSERT_TRUE(window.streamed());
+        ASSERT_FALSE(slice.streamed());
+        ASSERT_EQ(window.size(), r.expect);
+        expectSameInsts(collected(window), slice);
+        Trace materialized = window;
+        materialized.materialize();
+        expectSameInsts(materialized, slice);
+        EXPECT_TRUE(runCore(window) == runCore(slice)) << r.begin;
+    }
+
+    // A window of a window is the window of the summed range.
+    const Trace outer = streamed.window(1000, 20000, MemoryImage());
+    expectSameInsts(collected(outer.window(300, 5000, MemoryImage())),
+                    streamed.slice(1300, 5000, MemoryImage()));
+}
+
+TEST(TraceWindow, MaterializedWindowCopiesLikeSlice)
+{
+    const Trace t = WorkloadRegistry::build("mcf", 5000);
+    const Trace window = t.window(1234, 10000, t.initialImage);
+    ASSERT_FALSE(window.streamed());
+    EXPECT_EQ(window.size(), t.size() - 1234);
+    expectSameInsts(window, t.slice(1234, 10000, t.initialImage));
+}
+
+/**
+ * A loop over a few hot slots: a store and an atomic to random slots,
+ * then a load of every slot from a fixed site. The load addresses are
+ * predictable, their values go stale under the in-flight stores, so
+ * value predictions flush.
+ */
+Trace
+hotSlotProgram(std::size_t length)
+{
+    Trace t;
+    t.name = "hot-slots";
+    KernelCtx ctx(t, 7);
+    Rng rng(0x51075);
+    const Addr arena = 0x3000000;
+    const unsigned slots = 8;
+    for (unsigned i = 0; i < slots; ++i)
+        ctx.mem().write(arena + i * 8, rng.next64(), 8);
+    ctx.sealInitialImage();
+    const Val base = ctx.imm(0, arena);
+    while (ctx.emitted() < length) {
+        ctx.store(1, arena + rng.below(slots) * 8, rng.next64() & 0xff,
+                  base, base);
+        ctx.atomic(2, arena + rng.below(slots) * 8, rng.next64() & 0xff,
+                   base);
+        for (unsigned i = 0; i < slots; ++i)
+            ctx.load(3 + static_cast<int>(i), arena + i * 8, base);
+    }
+    t.insts.resize(length);
+    return t;
+}
+
+std::map<Addr, std::vector<std::uint8_t>>
+pagesOf(const MemoryImage &image)
+{
+    std::map<Addr, std::vector<std::uint8_t>> out;
+    image.forEachPage([&out](Addr a, const std::uint8_t *bytes) {
+        out[a].assign(bytes, bytes + MemoryImage::kPageSize);
+    });
+    return out;
+}
+
+TEST(CoreArchImage, TakeArchImageEqualsAdvanceImage)
+{
+    const Trace t = hotSlotProgram(6000);
+    ASSERT_EQ(t.verifyReplay(), t.size());
+    std::size_t stores = 0, atomics = 0;
+    t.forEachInst([&](const TraceInst &inst) {
+        stores += inst.isStore();
+        atomics += inst.cls == OpClass::Atomic;
+    });
+    ASSERT_GT(stores, 0u);
+    ASSERT_GT(atomics, 0u);
+
+    auto vp = sim::dlvpConfig();
+    vp.useLscd = false; // let conflicting stores flush
+    core::OoOCore core(sim::baselineCore(), vp, t);
+    const core::CoreStats stats = core.run();
+    // Refetch after each of these flushes must not re-apply stores.
+    EXPECT_GT(stats.vpFlushes, 0u);
+
+    MemoryImage expect = t.initialImage;
+    advanceImage(expect, t, 0, t.size());
+    EXPECT_TRUE(pagesOf(core.takeArchImage()) == pagesOf(expect));
+}
+
+// ---------------------------------------------------------------------
 // Interval sampler determinism: bit-identical sampled CoreStats under
 // any job count
 // ---------------------------------------------------------------------
@@ -514,6 +698,44 @@ TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
     const double err = sim::cpiError(sampled, full);
     EXPECT_GE(err, 0.0);
     EXPECT_LT(err, 1.0) << "sampled CPI off by more than 100%";
+}
+
+/**
+ * A small mega trace saved with a chunk size that divides neither the
+ * period nor any interval start, and a length that clips the last
+ * interval (start 60000, 3500 of warmup + measure's 5000 left).
+ */
+MegaSpec
+unalignedMega()
+{
+    MegaSpec spec = smallMega();
+    spec.totalInsts = 63500;
+    spec.chunkInsts = 1536;
+    return spec;
+}
+
+TEST(Sampler, StreamedMatchesMaterialized)
+{
+    const MegaSpec spec = unalignedMega();
+    TempPath p("sampled_unaligned.dt2");
+    writeMegaV2(spec, p.path);
+    Trace streamed;
+    streamed.attachStream(ChunkedTraceFile::open(p.path));
+    Trace materialized = streamed;
+    materialized.materialize();
+    ASSERT_TRUE(streamed.streamed());
+    ASSERT_FALSE(materialized.streamed());
+
+    const auto sample = smallSample();
+    for (const auto &vp : {sim::baselineVp(), sim::dlvpConfig()}) {
+        const auto a = sim::runSampled(sim::baselineCore(), vp,
+                                       materialized, sample);
+        const auto b =
+            sim::runSampled(sim::baselineCore(), vp, streamed, sample);
+        EXPECT_EQ(a.intervals, 7u); // six full + the clipped tail
+        EXPECT_EQ(a.intervals, b.intervals);
+        EXPECT_TRUE(a.stats == b.stats) << vp.accel;
+    }
 }
 
 /** Sampled sweep over the mega workload, parameterized by jobs. */

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -19,8 +20,11 @@
 #include "common/thread_pool.hh"
 #include "sim/configs.hh"
 #include "sim/report.hh"
+#include "sim/sampler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
+#include "trace/mega.hh"
+#include "trace/trace_v2.hh"
 
 namespace
 {
@@ -277,6 +281,48 @@ TEST(Sweep, RowsCarryRunPerfTelemetry)
         EXPECT_GT(p.wallMs, 0.0);
         EXPECT_GT(p.mips, 0.0);
         EXPECT_GT(p.pagesTouched, 0u);
+    }
+}
+
+// ---- shared streamed trace ----
+
+TEST(SharedStream, ConcurrentSampledRunsAgree)
+{
+    // One ChunkedTraceFile behind one Trace: every runSampled's
+    // windows and cursors decode through the same chunk cache, which
+    // holds fewer chunks than the threads keep in flight.
+    trace::MegaSpec spec;
+    spec.name = "shared-stream";
+    spec.phases = {"mcf", "gzip"};
+    spec.totalInsts = 40000;
+    spec.phaseInsts = 8000;
+    spec.conflictDensity = 0.25;
+    spec.chunkInsts = 1000;
+    const std::string path = "/tmp/dlvp_sweep_test_shared_stream.dt2";
+    trace::writeMegaV2(spec, path);
+    trace::Trace streamed;
+    streamed.attachStream(trace::ChunkedTraceFile::open(path));
+    std::remove(path.c_str()); // the open handle keeps the bytes
+
+    SampleSpec sample;
+    sample.enabled = true;
+    sample.warmupInsts = 2000;
+    sample.measureInsts = 3000;
+    sample.periodInsts = 10000;
+    constexpr unsigned kThreads = 4;
+    std::vector<SampledRun> runs(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned k = 0; k < kThreads; ++k)
+        threads.emplace_back([&, k] {
+            runs[k] = runSampled(baselineCore(), dlvpConfig(),
+                                 streamed, sample);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(runs[0].intervals, 4u);
+    for (unsigned k = 1; k < kThreads; ++k) {
+        EXPECT_EQ(runs[k].intervals, runs[0].intervals);
+        EXPECT_TRUE(runs[k].stats == runs[0].stats) << k;
     }
 }
 
