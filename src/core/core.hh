@@ -92,9 +92,6 @@ class OoOCore
      */
     std::uint64_t cyclesSkipped() const { return cyclesSkipped_; }
 
-    /** The registry-constructed load accelerator driving the VPE. */
-    const pred::LoadAccelerator &accelerator() const { return *accel_; }
-
   private:
     /** Per-in-flight-instruction state (ROB + front-end entry). */
     struct InstState
@@ -385,7 +382,7 @@ class OoOCore
     pred::Btb btb_;
     pred::Ras ras_;
     pred::Mdp mdp_;
-    /** The load accelerator, constructed from the registry by key. */
+    /** The load accelerator, built from the accelerator table by key. */
     std::unique_ptr<pred::LoadAccelerator> accel_;
     /** @{
      * Capability flags cached at construction so disabled hooks cost
@@ -484,15 +481,6 @@ class OoOCore
     Cycle flushRedirect_ = 0;
 
     CoreStats stats_;
-
-    // Debug-env flags, cached once per core: getenv() rescans the
-    // whole environment on every call, which is measurable when
-    // queried per issued/committed instruction.
-    bool dbgHalt_ = false;
-    bool dbgAct_ = false;
-    bool dbgWait_ = false;
-    bool dbgLscd_ = false;
-    bool dbgCov_ = false;
 
     static constexpr InstSeqNum kNoSeq = ~InstSeqNum{0};
 

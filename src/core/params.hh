@@ -10,13 +10,7 @@
 #include <string>
 
 #include "mem/hierarchy.hh"
-#include "pred/balcvp.hh"
-#include "pred/cap.hh"
-#include "pred/dvtage.hh"
-#include "pred/hermes.hh"
-#include "pred/pap.hh"
-#include "pred/stride_ap.hh"
-#include "pred/vtage.hh"
+#include "pred/accel.hh"
 
 namespace dlvp::core
 {
@@ -100,11 +94,16 @@ enum class VpeDesign : std::uint8_t
     Pvt,             ///< design #3 (the paper's choice) / design #2
 };
 
-struct VpConfig
+/**
+ * Value-prediction configuration. The predictor parameters (vp.pap,
+ * vp.vtage, ..., vp.tournamentPartition) are the inherited
+ * pred::AccelParams, handed to the accelerator as they are.
+ */
+struct VpConfig : pred::AccelParams
 {
     /**
-     * Registry key of the load accelerator the core runs (see
-     * pred/accel.hh); "none" is the unaccelerated baseline. Unknown
+     * Key of the load accelerator the core runs (the table in
+     * pred/accel.cc); "none" is the unaccelerated baseline. Unknown
      * keys surface as RunError{internal} when the core is built.
      */
     std::string accel = "none";
@@ -126,14 +125,6 @@ struct VpConfig
     unsigned paqLifetime = 8;
     unsigned pvtSize = 32;
 
-    pred::PapParams pap{};
-    pred::CapParams cap{};
-    pred::StrideApParams strideAp{};
-    pred::VtageParams vtage{};
-    pred::DvtageParams dvtage{};
-    pred::BalcvpParams balcvp{};
-    pred::HermesParams hermes{};
-
     /** 1-cycle penalty for checking a predicted value (SS3.2.2). */
     unsigned valueCheckPenalty = 1;
 
@@ -145,14 +136,6 @@ struct VpConfig
      * parallel and serial sweeps are bit-identical (see sim/sweep.hh).
      */
     std::uint64_t rngSeed = 0;
-
-    /**
-     * Tournament-only: implement the "more intelligent chooser"
-     * future work of SS5.2.3 — partition the loads by suppressing
-     * VTAGE training for loads DLVP already covers correctly, freeing
-     * VTAGE capacity for loads only it can catch.
-     */
-    bool tournamentPartition = false;
 };
 
 } // namespace dlvp::core

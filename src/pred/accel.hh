@@ -6,10 +6,11 @@
  * (PAP + cache probe), the CAP and stride address predictors it is
  * compared against, the VTAGE/D-VTAGE value predictors, the
  * DLVP+VTAGE tournament, and the newer BALCVP and Hermes-style
- * entries — implements this one interface and registers itself under
- * a string key. The core constructs its accelerator from the registry
- * and drives it through a fixed set of hooks; nothing in src/core
- * names a concrete predictor type.
+ * entries — implements this one interface and has one row, under a
+ * string key, in the constant accelerator table in accel.cc. The core
+ * constructs its accelerator from that table and drives it through a
+ * fixed set of hooks; nothing in src/core names a concrete predictor
+ * type.
  *
  * Contract (DESIGN.md §12 is the normative version):
  *
@@ -22,17 +23,18 @@
  *    trainAtCommit() (needs architectural values, runs at retire).
  *  - Speculative state must be DLVP_SPEC_STATE-tagged and exposed
  *    through specStateToken()/restoreSpecState() so a flush (or the
- *    registry round-trip test) can rewind it; flushResync() is the
+ *    catalog round-trip test) can rewind it; flushResync() is the
  *    full-pipeline reset.
  *  - Stats: hooks report table activity only through the AccelStats
  *    counters they are handed. The core owns every other CoreStats
  *    field, which is what keeps pre-registry configs bit-identical.
  *  - No hook may allocate: all tables are sized in the constructor.
  *
- * Registration is by explicit function call (see accel.cc) rather
- * than static initializers, which a static-library link would drop.
- * The DLVP_ACCEL() marker wraps each registered key so dlvp-analyze
- * can cross-check the registry against the golden-stats table.
+ * Adding a predictor: implement this interface in accel.cc, add its
+ * row to the table there (kept sorted by key), add a named config in
+ * sim/configs.cc, and record its golden CoreStats rows. Each row's key
+ * is wrapped in DLVP_ACCEL() so dlvp-analyze can cross-check the table
+ * against the golden-stats table.
  */
 
 #ifndef DLVP_PRED_ACCEL_HH
@@ -58,10 +60,10 @@ namespace dlvp::pred
 {
 
 /**
- * Marker for accelerator keys at their registration site; expands to
+ * Marker for accelerator keys in the accelerator table; expands to
  * the key itself. dlvp-analyze's accel-registry rule collects every
- * DLVP_ACCEL("...") and fails the lint for any registered key missing
- * from the golden CoreStats table.
+ * DLVP_ACCEL("...") and fails the lint for any key missing from the
+ * golden CoreStats table.
  */
 #define DLVP_ACCEL(key) key
 
@@ -85,7 +87,11 @@ struct AccelParams
     DvtageParams dvtage{};
     BalcvpParams balcvp{};
     HermesParams hermes{};
-    /** Tournament: reserve probe-hit loads for DLVP (Figure 8). */
+    /**
+     * Tournament (Figure 8): the "more intelligent chooser" of
+     * SS5.2.3, which skips VTAGE training for loads DLVP already
+     * covers correctly, freeing VTAGE capacity for the rest.
+     */
     bool tournamentPartition = false;
 };
 
@@ -161,7 +167,7 @@ class LoadAccelerator
   public:
     virtual ~LoadAccelerator() = default;
 
-    /** Registry key this instance was constructed under. */
+    /** Table key this instance was constructed under. */
     virtual const char *key() const = 0;
 
     /** @{ Capability flags; constant for the instance's lifetime. */
@@ -244,20 +250,17 @@ class LoadAccelerator
 
     /** @{
      * Opaque snapshot of speculative (flush-rewound) state, for the
-     * registry round-trip test; 0 when the accelerator has none.
+     * catalog round-trip test; 0 when the accelerator has none.
      */
     virtual std::uint64_t specStateToken() const { return 0; }
     virtual void restoreSpecState(std::uint64_t token) { (void)token; }
     /** @} */
-
-    /** Hardware budget of all tables, in bits. */
-    virtual std::uint64_t storageBits() const { return 0; }
 };
 
 using AccelFactory =
     std::unique_ptr<LoadAccelerator> (*)(const AccelParams &params);
 
-/** One registry row, as enumerated by acceleratorCatalog(). */
+/** One accelerator table row, as enumerated by acceleratorCatalog(). */
 struct AccelInfo
 {
     std::string key;
@@ -265,19 +268,14 @@ struct AccelInfo
     AccelFactory factory = nullptr;
 };
 
-/** Register @p key; re-registration of a key is an Internal error. */
-void registerAccelerator(const std::string &key,
-                         const std::string &description,
-                         AccelFactory factory);
-
-/** True when @p key is in the registry. */
+/** True when @p key is in the accelerator table. */
 bool acceleratorRegistered(const std::string &key);
 
 /** Construct @p key; unknown keys throw RunError(Internal). */
 std::unique_ptr<LoadAccelerator>
 makeAccelerator(const std::string &key, const AccelParams &params);
 
-/** All registered accelerators, sorted by key. */
+/** Every accelerator in the table, sorted by key. */
 std::vector<AccelInfo> acceleratorCatalog();
 
 } // namespace dlvp::pred

@@ -1,14 +1,12 @@
-// accel-registry fixture: every registered key is pinned by
-// accel_golden_good.inc, except 'experimental', whose registration
-// carries an explicit suppression.
+// accel-registry fixture: every key in the table is pinned by
+// accel_golden_good.inc, except 'experimental', whose row carries an
+// explicit suppression.
 
 #define DLVP_ACCEL(key) key
 
-void
-registerFixtureAccelerators()
-{
-    registerAccelerator({DLVP_ACCEL("alpha"), "first", nullptr});
-    registerAccelerator({DLVP_ACCEL("beta"), "second", nullptr});
+constexpr AccelRow kFixtureAccelerators[] = {
+    {DLVP_ACCEL("alpha"), "first", nullptr},
+    {DLVP_ACCEL("beta"), "second", nullptr},
     // dlvp-analyze: allow(accel-registry)
-    registerAccelerator({DLVP_ACCEL("experimental"), "wip", nullptr});
-}
+    {DLVP_ACCEL("experimental"), "wip", nullptr},
+};

@@ -215,6 +215,9 @@ TEST(AccelRegistry, CatalogConstructsEveryKey)
 {
     const auto catalog = acceleratorCatalog();
     ASSERT_FALSE(catalog.empty());
+    // Strictly increasing keys: sorted, and no key listed twice.
+    for (std::size_t i = 1; i < catalog.size(); ++i)
+        EXPECT_LT(catalog[i - 1].key, catalog[i].key);
     for (const AccelInfo &info : catalog) {
         SCOPED_TRACE(info.key);
         EXPECT_TRUE(acceleratorRegistered(info.key));
